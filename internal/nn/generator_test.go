@@ -10,7 +10,7 @@ import (
 
 // Incremental decoding must reproduce the full forward pass exactly: for
 // every prefix position, the generator's logits row equals the
-// corresponding row of Runner.Logits.
+// corresponding row of Runner.Logits bit for bit.
 func TestGeneratorMatchesFullForward(t *testing.T) {
 	for _, cfg := range []Config{optConfig(), llamaConfig()} {
 		cfg := cfg
@@ -27,7 +27,7 @@ func TestGeneratorMatchesFullForward(t *testing.T) {
 				row := g.Append(tok)
 				want := full.Row(i)
 				for j := range row {
-					if math.Abs(float64(row[j]-want[j])) > 1e-3*(1+math.Abs(float64(want[j]))) {
+					if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
 						t.Fatalf("pos %d vocab %d: incremental %v vs full %v", i, j, row[j], want[j])
 					}
 				}
@@ -51,8 +51,8 @@ func TestGeneratorMatchesFullForwardWindowed(t *testing.T) {
 		row := g.Append(tok)
 		want := full.Row(i)
 		for j := range row {
-			if math.Abs(float64(row[j]-want[j])) > 1e-3*(1+math.Abs(float64(want[j]))) {
-				t.Fatalf("windowed pos %d: incremental diverges from full forward", i)
+			if math.Float32bits(row[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("windowed pos %d vocab %d: incremental %v vs full %v", i, j, row[j], want[j])
 			}
 		}
 	}

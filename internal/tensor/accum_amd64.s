@@ -2,19 +2,142 @@
 
 #include "textflag.h"
 
-// func accumQuadAsm(dst, r0, r1, r2, r3 *float32, n int, x0, x1, x2, x3 float32)
+// The accumulation kernels behind accumQuad:
 //
-// dst[j] += x0·r0[j] + x1·r1[j] + x2·r2[j] + x3·r3[j] for j in [0, n),
-// with the four addends applied to each dst element in that exact order —
-// packed SSE2 single-precision rounds identically to the scalar ops, so
-// the result is bit-identical to the generic Go loop.
-TEXT ·accumQuadAsm(SB), NOSPLIT, $0-64
-	MOVQ dst+0(FP), AX
-	MOVQ r0+8(FP), BX
-	MOVQ r1+16(FP), CX
-	MOVQ r2+24(FP), DX
-	MOVQ r3+32(FP), SI
-	MOVQ n+40(FP), DI
+//	dst[j] += x0·r0[j]; dst[j] += x1·r1[j]; dst[j] += x2·r2[j]; dst[j] += x3·r3[j]
+//
+// for j in [0, n), the four addends applied to each dst element in exactly
+// that order. Packed single-precision MULPS/ADDPS round identically to the
+// scalar ops, so every kernel is bit-identical to accumQuadGo. None may use
+// an FMA instruction: a fused multiply-add rounds once instead of twice
+// and changes the bits (TestAccumKernelsHaveNoFMA guards this file).
+
+// Register use shared by the kernels: AX dst, BX r0, CX r1, DX r2, SI r3,
+// DI elements left, R8 element index; the broadcast scalars x0..x3 live in
+// the fourth to seventh vector registers (X/Y/Z 4-7).
+#define LOADARGS \
+	MOVQ dst+0(FP), AX; \
+	MOVQ r0+8(FP), BX; \
+	MOVQ r1+16(FP), CX; \
+	MOVQ r2+24(FP), DX; \
+	MOVQ r3+32(FP), SI; \
+	MOVQ n+40(FP), DI; \
+	XORQ R8, R8
+
+// ACC4 folds the four addends into one group of dst elements at index R8
+// with the width's move/multiply/add instructions, D the accumulator and P
+// the product register (VEX three-operand form).
+#define ACC4(MOV, MUL, ADD, D, P, K0, K1, K2, K3) \
+	MOV (AX)(R8*4), D; \
+	MOV (BX)(R8*4), P; \
+	MUL K0, P, P; \
+	ADD P, D, D; \
+	MOV (CX)(R8*4), P; \
+	MUL K1, P, P; \
+	ADD P, D, D; \
+	MOV (DX)(R8*4), P; \
+	MUL K2, P, P; \
+	ADD P, D, D; \
+	MOV (SI)(R8*4), P; \
+	MUL K3, P, P; \
+	ADD P, D, D; \
+	MOV D, (AX)(R8*4)
+
+// func accumQuadAVX512(dst, r0, r1, r2, r3 *float32, n int, x0, x1, x2, x3 float32)
+//
+// 16 ZMM lanes per step; the tail steps down through one 8-lane YMM group,
+// one 4-lane XMM group and scalar elements.
+TEXT ·accumQuadAVX512(SB), NOSPLIT, $0-64
+	LOADARGS
+	VBROADCASTSS x0+48(FP), Z4
+	VBROADCASTSS x1+52(FP), Z5
+	VBROADCASTSS x2+56(FP), Z6
+	VBROADCASTSS x3+60(FP), Z7
+	CMPQ DI, $16
+	JL   tail8
+
+loop16:
+	ACC4(VMOVUPS, VMULPS, VADDPS, Z0, Z1, Z4, Z5, Z6, Z7)
+	ADDQ $16, R8
+	SUBQ $16, DI
+	CMPQ DI, $16
+	JGE  loop16
+
+tail8:
+	CMPQ DI, $8
+	JL   tail4
+	ACC4(VMOVUPS, VMULPS, VADDPS, Y0, Y1, Y4, Y5, Y6, Y7)
+	ADDQ $8, R8
+	SUBQ $8, DI
+
+tail4:
+	CMPQ DI, $4
+	JL   tail1
+	ACC4(VMOVUPS, VMULPS, VADDPS, X0, X1, X4, X5, X6, X7)
+	ADDQ $4, R8
+	SUBQ $4, DI
+
+tail1:
+	TESTQ DI, DI
+	JE    done
+
+loop1:
+	ACC4(VMOVSS, VMULSS, VADDSS, X0, X1, X4, X5, X6, X7)
+	INCQ R8
+	DECQ DI
+	JNE  loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func accumQuadAVX(dst, r0, r1, r2, r3 *float32, n int, x0, x1, x2, x3 float32)
+//
+// 8 YMM lanes per step; the tail steps down through one 4-lane XMM group
+// and scalar elements.
+TEXT ·accumQuadAVX(SB), NOSPLIT, $0-64
+	LOADARGS
+	VBROADCASTSS x0+48(FP), Y4
+	VBROADCASTSS x1+52(FP), Y5
+	VBROADCASTSS x2+56(FP), Y6
+	VBROADCASTSS x3+60(FP), Y7
+	CMPQ DI, $8
+	JL   tail4
+
+loop8:
+	ACC4(VMOVUPS, VMULPS, VADDPS, Y0, Y1, Y4, Y5, Y6, Y7)
+	ADDQ $8, R8
+	SUBQ $8, DI
+	CMPQ DI, $8
+	JGE  loop8
+
+tail4:
+	CMPQ DI, $4
+	JL   tail1
+	ACC4(VMOVUPS, VMULPS, VADDPS, X0, X1, X4, X5, X6, X7)
+	ADDQ $4, R8
+	SUBQ $4, DI
+
+tail1:
+	TESTQ DI, DI
+	JE    done
+
+loop1:
+	ACC4(VMOVSS, VMULSS, VADDSS, X0, X1, X4, X5, X6, X7)
+	INCQ R8
+	DECQ DI
+	JNE  loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func accumQuadSSE2(dst, r0, r1, r2, r3 *float32, n int, x0, x1, x2, x3 float32)
+//
+// 4 XMM lanes per step, scalar tail; legacy SSE encoding, so no
+// VZEROUPPER is needed.
+TEXT ·accumQuadSSE2(SB), NOSPLIT, $0-64
+	LOADARGS
 
 	// Broadcast the four scalars across the lanes.
 	MOVSS  x0+48(FP), X4
@@ -30,25 +153,21 @@ TEXT ·accumQuadAsm(SB), NOSPLIT, $0-64
 	JL   tail
 
 loop4:
-	MOVUPS (AX), X0
-	MOVUPS (BX), X1
+	MOVUPS (AX)(R8*4), X0
+	MOVUPS (BX)(R8*4), X1
 	MULPS  X4, X1
 	ADDPS  X1, X0
-	MOVUPS (CX), X2
+	MOVUPS (CX)(R8*4), X2
 	MULPS  X5, X2
 	ADDPS  X2, X0
-	MOVUPS (DX), X3
+	MOVUPS (DX)(R8*4), X3
 	MULPS  X6, X3
 	ADDPS  X3, X0
-	MOVUPS (SI), X1
+	MOVUPS (SI)(R8*4), X1
 	MULPS  X7, X1
 	ADDPS  X1, X0
-	MOVUPS X0, (AX)
-	ADDQ   $16, AX
-	ADDQ   $16, BX
-	ADDQ   $16, CX
-	ADDQ   $16, DX
-	ADDQ   $16, SI
+	MOVUPS X0, (AX)(R8*4)
+	ADDQ   $4, R8
 	SUBQ   $4, DI
 	CMPQ   DI, $4
 	JGE    loop4
@@ -58,27 +177,42 @@ tail:
 	JE    done
 
 tail1:
-	MOVSS (AX), X0
-	MOVSS (BX), X1
+	MOVSS (AX)(R8*4), X0
+	MOVSS (BX)(R8*4), X1
 	MULSS X4, X1
 	ADDSS X1, X0
-	MOVSS (CX), X2
+	MOVSS (CX)(R8*4), X2
 	MULSS X5, X2
 	ADDSS X2, X0
-	MOVSS (DX), X3
+	MOVSS (DX)(R8*4), X3
 	MULSS X6, X3
 	ADDSS X3, X0
-	MOVSS (SI), X1
+	MOVSS (SI)(R8*4), X1
 	MULSS X7, X1
 	ADDSS X1, X0
-	MOVSS X0, (AX)
-	ADDQ  $4, AX
-	ADDQ  $4, BX
-	ADDQ  $4, CX
-	ADDQ  $4, DX
-	ADDQ  $4, SI
+	MOVSS X0, (AX)(R8*4)
+	INCQ  R8
 	DECQ  DI
 	JNE   tail1
 
 done:
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
 	RET

@@ -22,7 +22,7 @@ func seqMatMul(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Cols; j++ {
 			var s float32
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float32(a.At(i, k) * b.At(k, j)) // no fused multiply-add
 			}
 			out.Set(i, j, s)
 		}

@@ -108,11 +108,11 @@ func matMulRange(out, a, b *Matrix, rowLo, rowHi int) {
 
 // accumRows computes dst[j] += Σ_k x[k]·b[k0+k][j] — the shared axpy kernel
 // behind MatMul and VecMul. The k loop is unrolled 4-way with one load/store
-// of dst per group instead of per row (accumQuad: SSE2 on amd64, scalar
-// elsewhere); each dst element still receives its addends in strictly
-// increasing k order, so the result is bit-identical to the scalar loop
-// (adding a zero product is exact: the accumulator can never be −0, because
-// it starts at the running +0-rooted sum).
+// of dst per group instead of per row (accumQuad: AVX-512, AVX or SSE2 on
+// amd64, the Go twin elsewhere); each dst element still receives its
+// addends in strictly increasing k order, so the result is bit-identical to
+// the scalar loop (adding a zero product is exact: the accumulator can
+// never be −0, because it starts at the running +0-rooted sum).
 func accumRows(dst, x []float32, b *Matrix, k0 int) {
 	n := b.Cols
 	k := 0
@@ -137,7 +137,7 @@ func accumRows(dst, x []float32, b *Matrix, k0 int) {
 		base := (k0 + k) * n
 		row := b.Data[base : base+n][:len(dst)]
 		for j, rv := range row {
-			dst[j] += xv * rv
+			dst[j] += float32(xv * rv) // unfused, like accumQuad
 		}
 	}
 }
