@@ -218,25 +218,13 @@ func (r *Rand) Float32() float32 {
 	return float32(r.Uint32()>>8) / (1 << 24)
 }
 
-// normPair draws one fresh Box-Muller pair, bypassing the one-value cache.
-// The pair (cos, sin) is returned in the order NormFloat64 hands the values
-// out, so batched fills built on normPair reproduce the scalar draw
-// sequence exactly.
+// normPair draws one fresh Box-Muller pair, bypassing the one-value cache:
+// u (redrawn while zero), then v, then boxMuller. The pair (cos, sin) is
+// returned in the order NormFloat64 hands the values out, so batched fills
+// built on normPair reproduce the scalar draw sequence exactly.
 func (r *Rand) normPair() (c, s float64) {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		mag := math.Sqrt(-2 * math.Log(u))
-		// math.Sincos shares one argument reduction between the two
-		// evaluations; its results are bit-identical to separate
-		// math.Sin/math.Cos calls (asserted by TestSincosBitIdentical),
-		// so the historical draw values are preserved exactly.
-		sin, cos := math.Sincos(2 * math.Pi * v)
-		return mag * cos, mag * sin
-	}
+	u := r.uniformOpen()
+	return boxMuller(u, r.Float64())
 }
 
 // zigR is the rightmost ziggurat layer boundary for the standard normal
@@ -364,37 +352,22 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 
 // FillNormal fills dst with i.i.d. Gaussian(mu, sigma) float32 samples.
 // The draw sequence (including the Box-Muller pair cache) is identical to
-// calling mu + sigma*NormFloat32() once per element.
+// calling mu + sigma*NormFloat32() once per element: it sets dst to mu and
+// accumulates with FillNormalAdd, which evaluates the same mu + sigma*x.
 func (r *Rand) FillNormal(dst []float32, mu, sigma float32) {
-	if r.version == StreamV2 {
-		for i := range dst {
-			dst[i] = mu + sigma*float32(r.zigNorm())
-		}
-		return
+	for i := range dst {
+		dst[i] = mu
 	}
-	i := 0
-	if r.hasG && len(dst) > 0 {
-		r.hasG = false
-		dst[0] = mu + sigma*float32(r.gauss)
-		i = 1
-	}
-	for ; i+1 < len(dst); i += 2 {
-		c, s := r.normPair()
-		dst[i] = mu + sigma*float32(c)
-		dst[i+1] = mu + sigma*float32(s)
-	}
-	if i < len(dst) {
-		c, s := r.normPair()
-		dst[i] = mu + sigma*float32(c)
-		r.gauss, r.hasG = s, true
-	}
+	r.FillNormalAdd(dst, sigma)
 }
 
 // FillNormalAdd adds sigma-scaled standard normal samples to dst in place:
 // dst[i] += sigma*N(0,1). The draw order is bit-identical to the scalar
 // loop dst[i] += sigma*NormFloat32() — the batched form exists so hot read
 // paths (input/output/weight-read noise) pay one call instead of one per
-// element, without perturbing any downstream stream state.
+// element, without perturbing any downstream stream state. Under StreamV1
+// whole 8-pair groups run through the SIMD Box-Muller kernel when the host
+// has one (bmKernel); the rest takes normPair.
 func (r *Rand) FillNormalAdd(dst []float32, sigma float32) {
 	if r.version == StreamV2 {
 		for i := range dst {
@@ -407,6 +380,9 @@ func (r *Rand) FillNormalAdd(dst []float32, sigma float32) {
 		r.hasG = false
 		dst[0] += sigma * float32(r.gauss)
 		i = 1
+	}
+	if bmKernel != bmGo {
+		i += r.addNormalGroups(dst[i:], sigma)
 	}
 	for ; i+1 < len(dst); i += 2 {
 		c, s := r.normPair()
