@@ -227,9 +227,7 @@ func stepBlock(base *Runner, layer int, b *Block, x *tensor.Matrix, rowStates []
 	// sequential decode would.
 	for i := 0; i < n; i++ {
 		st := rowStates[i]
-		kr, vr := st.kvAt(layer, positions[i])
-		copy(kr, k.Row(i))
-		copy(vr, v.Row(i))
+		st.storeKV(layer, positions[i], k.Row(i), v.Row(i))
 		attendCachedRow(attn.Row(i), m, st, layer, q.Row(i), positions[i], &sc.scores)
 	}
 	o := sc.mat(&sc.oM, &sc.o, n, d)
@@ -312,12 +310,18 @@ func applyRowScoped(base *Runner, states []*decodeState, name string, x, out *te
 // (length DModel) at position pos against st's cached positions
 // [max(0, pos-window+1), pos] of one layer, writing into out (length DModel,
 // fully overwritten). It honors the sliding window and grouped-query head
-// sharing, and is the scalar kernel behind sequential Append, batched
-// decode, and chunked prefill alike — each row attends only to its own
-// sequence's cache, so batching cannot change its result. The cache is
-// paged: positions are walked page-segment by page-segment in ascending
-// order, so the arithmetic (and therefore the result, bit for bit) is
-// independent of the page size.
+// sharing, and is the kernel behind sequential Append, batched decode, and
+// chunked prefill alike — each row attends only to its own sequence's
+// cache, so batching cannot change its result.
+//
+// Per head it runs six passes: zero the scores; QKᵀ as one AccumStrided
+// per page segment down the channel-major K block (lanes across
+// positions); scale and max; exp with a float64 sum; normalize; then PV as
+// one AccumStrided per page segment over the position-major V block (lanes
+// across head channels). Every score accumulates its channels, and every
+// output element its positions, in ascending order with each product
+// rounded — exactly the full forward's MatMulT/MatMul order — so the result
+// is bit-identical to it and independent of the page size.
 func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []float32, pos int, scores *[]float32) {
 	dh := m.Cfg.HeadDim()
 	group := m.Cfg.NHeads / m.Cfg.KVHeads()
@@ -331,6 +335,7 @@ func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []fl
 		out[c] = 0
 	}
 	pt, kvd := st.pool.pageTokens, st.pool.kvDim
+	kOff, vOff := layer*2*pt*kvd, (layer*2+1)*pt*kvd
 	// Size the score buffer to the reserved capacity, not the current span —
 	// span grows with every decode step, and growing to it exactly would
 	// reallocate once per token.
@@ -339,30 +344,22 @@ func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []fl
 		cLo, cHi := hIdx*dh, (hIdx+1)*dh
 		kvLo := (hIdx / group) * dh
 		qh := q[cLo:cHi]
-		// scores over cached positions [lo, pos]
-		mx := float32(math.Inf(-1))
-		for t0, t := lo, 0; t0 <= pos; {
-			p := t0 / pt
-			s0 := t0 - p*pt
-			nseg := pt - s0
-			if t0+nseg > pos+1 {
-				nseg = pos + 1 - t0
-			}
-			kb := st.pages[p][layer*2*pt*kvd:]
-			for s := s0; s < s0+nseg; s++ {
-				krow := kb[s*kvd+kvLo:][:dh]
-				var sum float32
-				for c, qv := range qh {
-					sum += qv * krow[c]
-				}
-				sum *= scale
-				sc[t] = sum
-				if sum > mx {
-					mx = sum
-				}
-				t++
-			}
+		for t := range sc {
+			sc[t] = 0
+		}
+		// Scores over cached positions [lo, pos], page segment by segment.
+		for t0 := lo; t0 <= pos; {
+			p, s0, nseg := pageSegment(t0, pos, pt)
+			kb := st.pages[p][kOff : kOff+pt*kvd]
+			tensor.AccumStrided(sc[t0-lo:t0-lo+nseg], qh, kb[kvLo*pt+s0:], pt)
 			t0 += nseg
+		}
+		mx := float32(math.Inf(-1))
+		for t := range sc {
+			sc[t] *= scale
+			if sc[t] > mx {
+				mx = sc[t]
+			}
 		}
 		var sum float64
 		for t := range sc {
@@ -371,24 +368,23 @@ func attendCachedRow(out []float32, m *Model, st *decodeState, layer int, q []fl
 			sum += float64(e)
 		}
 		inv := float32(1 / sum)
+		for t := range sc {
+			sc[t] *= inv
+		}
 		orow := out[cLo:cHi]
-		for t0, t := lo, 0; t0 <= pos; {
-			p := t0 / pt
-			s0 := t0 - p*pt
-			nseg := pt - s0
-			if t0+nseg > pos+1 {
-				nseg = pos + 1 - t0
-			}
-			vb := st.pages[p][(layer*2+1)*pt*kvd:]
-			for s := s0; s < s0+nseg; s++ {
-				w := sc[t] * inv
-				vrow := vb[s*kvd+kvLo:][:dh]
-				for c := range orow {
-					orow[c] += w * vrow[c]
-				}
-				t++
-			}
+		for t0 := lo; t0 <= pos; {
+			p, s0, nseg := pageSegment(t0, pos, pt)
+			vb := st.pages[p][vOff : vOff+pt*kvd]
+			tensor.AccumStrided(orow, sc[t0-lo:t0-lo+nseg], vb[s0*kvd+kvLo:], kvd)
 			t0 += nseg
 		}
 	}
+}
+
+// pageSegment locates the run of cached positions starting at t0 that
+// shares one page: page index p, slot s0 within it, and length nseg, ending
+// at the page's end or at pos, whichever comes first.
+func pageSegment(t0, pos, pt int) (p, s0, nseg int) {
+	p, s0 = t0/pt, t0%pt
+	return p, s0, min(pt-s0, pos+1-t0)
 }

@@ -8,14 +8,23 @@ import (
 // Paged KV-cache storage. Instead of one MaxSeq×KVDim slab per layer per
 // sequence, every sequence's keys and values live in fixed-size pages drawn
 // from a shared freelist: a page holds pageTokens consecutive positions of
-// every layer's K and V rows, so a sequence of n tokens occupies exactly
+// every layer's K and V, so a sequence of n tokens occupies exactly
 // ceil(n/pageTokens) pages regardless of the context window. Admission
 // capacity is therefore governed by pages — many short sequences fit where
 // slab storage would have reserved worst-case memory for each — and a long
-// prompt only ties up the pages it actually fills. Page granularity is a
-// pure storage layout: attendCachedRow walks the same positions in the same
-// order whatever the page size, so results are bit-identical across page
-// sizes (pinned by the decode determinism tests).
+// prompt only ties up the pages it actually fills.
+//
+// Within a page, layer l owns two pageTokens×kvDim blocks, K then V, at
+// offset l·2·pageTokens·kvDim. The K block is stored channel-major
+// (kvDim rows of pageTokens positions: K[c][s] at c·pageTokens+s), so one
+// head's scores over a page segment are a single strided accumulation
+// across positions (tensor.AccumStrided with stride pageTokens). The V
+// block is position-major (V[s][c] at s·kvDim+c), so the weighted sum over
+// a segment is a strided accumulation across head channels (stride kvDim).
+// Page granularity is a pure storage layout: attendCachedRow gives every
+// score and output element its addends in the same position order whatever
+// the page size, so results are bit-identical across page sizes (pinned by
+// the decode determinism tests and TestAttendCachedRowMatchesReference).
 
 // ErrNoFreePages reports an admission or prefill that needs more KV pages
 // than the pool has free. The serving path maps it to 429, exactly like
@@ -107,15 +116,17 @@ func (st *decodeState) releasePages() {
 	st.pages = st.pages[:0]
 }
 
-// kvAt returns the K and V cache rows (length KVDim each) of one position in
-// one layer. Within a page, layer l's K rows occupy a contiguous
-// pageTokens×kvDim block at offset l·2·pageTokens·kvDim, followed by the V
-// block — attendCachedRow iterates positions page-segment by page-segment so
-// its inner loops stay contiguous.
-func (st *decodeState) kvAt(layer, pos int) (k, v []float32) {
+// storeKV writes one position's K and V rows (length kvDim each) of one
+// layer into its page: the K row is scattered down its column of the
+// channel-major K block, the V row copied into the position-major V block
+// (layout above).
+func (st *decodeState) storeKV(layer, pos int, k, v []float32) {
 	pt, d := st.pool.pageTokens, st.pool.kvDim
 	pg := st.pages[pos/pt]
-	kOff := (layer*2*pt + pos%pt) * d
-	vOff := kOff + pt*d
-	return pg[kOff : kOff+d : kOff+d], pg[vOff : vOff+d : vOff+d]
+	s := pos % pt
+	kb := pg[layer*2*pt*d:][:pt*d]
+	for c, kv := range k[:d] {
+		kb[c*pt+s] = kv
+	}
+	copy(pg[((layer*2+1)*pt+s)*d:][:d], v[:d])
 }

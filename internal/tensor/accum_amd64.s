@@ -2,7 +2,8 @@
 
 #include "textflag.h"
 
-// The accumulation kernels behind accumQuad:
+// The accumulation kernels behind accumQuad (and, at the end of the file,
+// the register-resident strided kernel behind AccumStrided):
 //
 //	dst[j] += x0·r0[j]; dst[j] += x1·r1[j]; dst[j] += x2·r2[j]; dst[j] += x3·r3[j]
 //
@@ -196,4 +197,109 @@ tail1:
 	JNE   tail1
 
 done:
+	RET
+
+// func accumStridedAVX512(dst, x, b *float32, n, k, stride int)
+//
+// The kernel behind AccumStrided:
+//
+//	dst[j] += x[0]·b[j]; dst[j] += x[1]·b[stride+j]; …; dst[j] += x[k-1]·b[(k-1)·stride+j]
+//
+// for j in [0, n), k ascending, VMULPS then VADDPS (never FMA), so it is
+// bit-identical to accumStridedGo. Each 16-lane group of dst stays in a ZMM
+// register across the whole k loop: blocks of four groups first (four
+// independent chains per b-row), then single groups under the K1 lane
+// mask, which covers the last partial group — masked-off lanes are neither
+// loaded (so cannot fault) nor stored. Requires n > 0 and k > 0.
+//
+// Registers: DI dst, SI x, BX b at the current group, DX elements left,
+// R8 k, R9 stride in bytes; R10/R11/R12 walk x, the b-row and the k count
+// of one group's loop; Z4 holds the broadcast x[k].
+TEXT ·accumStridedAVX512(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), DX
+	MOVQ k+32(FP), R8
+	MOVQ stride+40(FP), R9
+	SHLQ $2, R9
+
+block64:
+	CMPQ DX, $64
+	JL   group16
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS 128(DI), Z2
+	VMOVUPS 192(DI), Z3
+	MOVQ    SI, R10
+	MOVQ    BX, R11
+	MOVQ    R8, R12
+
+loop64:
+	VBROADCASTSS (R10), Z4
+	VMOVUPS      (R11), Z5
+	VMULPS       Z4, Z5, Z5
+	VADDPS       Z5, Z0, Z0
+	VMOVUPS      64(R11), Z6
+	VMULPS       Z4, Z6, Z6
+	VADDPS       Z6, Z1, Z1
+	VMOVUPS      128(R11), Z7
+	VMULPS       Z4, Z7, Z7
+	VADDPS       Z7, Z2, Z2
+	VMOVUPS      192(R11), Z8
+	VMULPS       Z4, Z8, Z8
+	VADDPS       Z8, Z3, Z3
+	ADDQ         $4, R10
+	ADDQ         R9, R11
+	DECQ         R12
+	JNE          loop64
+
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, BX
+	SUBQ    $64, DX
+	JMP     block64
+
+group16:
+	TESTQ DX, DX
+	JE    done
+
+	// K1 = the low min(DX, 16) lanes.
+	MOVQ  DX, CX
+	CMPQ  CX, $16
+	JLE   mask
+	MOVQ  $16, CX
+
+mask:
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	KMOVW AX, K1
+
+	VMOVUPS.Z (DI), K1, Z0
+	MOVQ      SI, R10
+	MOVQ      BX, R11
+	MOVQ      R8, R12
+
+loop16:
+	VBROADCASTSS (R10), Z4
+	VMOVUPS.Z    (R11), K1, Z5
+	VMULPS       Z4, Z5, Z5
+	VADDPS       Z5, Z0, Z0
+	ADDQ         $4, R10
+	ADDQ         R9, R11
+	DECQ         R12
+	JNE          loop16
+
+	VMOVUPS Z0, K1, (DI)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    CX, DX
+	JMP     group16
+
+done:
+	VZEROUPPER
 	RET

@@ -50,3 +50,27 @@ func accumQuadGo(dst, r0, r1, r2, r3 []float32, x0, x1, x2, x3 float32) {
 		dst[j] = d
 	}
 }
+
+// accumStridedGo is AccumStrided's portable rung: groups of four b-rows
+// through the accumQuad ladder, then the scalar k-tail, each dst element
+// receiving its addends in strictly increasing k order.
+func accumStridedGo(dst, x, b []float32, stride int) {
+	n := len(dst)
+	k := 0
+	for ; k+3 < len(x); k += 4 {
+		o := k * stride
+		accumQuad(dst,
+			b[o:o+n],
+			b[o+stride:o+stride+n],
+			b[o+2*stride:o+2*stride+n],
+			b[o+3*stride:o+3*stride+n],
+			x[k], x[k+1], x[k+2], x[k+3])
+	}
+	for ; k < len(x); k++ {
+		xv := x[k]
+		row := b[k*stride:][:n]
+		for j, rv := range row {
+			dst[j] += float32(xv * rv) // unfused, like accumQuad
+		}
+	}
+}

@@ -10,3 +10,8 @@ const hostAccumLevel = accumGo
 func accumQuad(dst, r0, r1, r2, r3 []float32, x0, x1, x2, x3 float32) {
 	accumQuadGo(dst, r0, r1, r2, r3, x0, x1, x2, x3)
 }
+
+// accumStrided is AccumStrided's kernel (see accumStridedGo).
+func accumStrided(dst, x, b []float32, stride int) {
+	accumStridedGo(dst, x, b, stride)
+}

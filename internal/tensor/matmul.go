@@ -142,6 +142,27 @@ func accumRows(dst, x []float32, b *Matrix, k0 int) {
 	}
 }
 
+// AccumStrided computes dst[j] += Σ_k x[k]·b[k·stride+j] for every
+// j < len(dst): b holds len(x) rows of at least len(dst) elements, stride
+// elements apart (rows may overlap). Each dst element receives its addends
+// in strictly increasing k order, every product rounded to float32 before
+// it is added (mul then add, never FMA), so the result is bit-identical to
+// the scalar loop whichever kernel rung runs it. Unlike accumRows no zero
+// x[k] is skipped: every product is added, as the scalar loop adds it.
+// On AVX-512F hosts each 16-lane group of dst stays in a register across
+// the whole k loop; other rungs fold quads of b-rows through accumQuad.
+// Panics if b is too short or stride is negative.
+func AccumStrided(dst, x, b []float32, stride int) {
+	n, k := len(dst), len(x)
+	if n == 0 || k == 0 {
+		return
+	}
+	if stride < 0 || (k-1)*stride+n > len(b) {
+		panic(fmt.Sprintf("tensor: AccumStrided len(b)=%d too short for %d rows of %d at stride %d", len(b), k, n, stride))
+	}
+	accumStrided(dst, x, b, stride)
+}
+
 // MatMulSerialInto computes out = a·b like MatMulInto but never spawns
 // goroutines, whatever the product size — the kernel for callers that need
 // a strict zero-allocation guarantee (the analog batched read path, whose
@@ -214,7 +235,10 @@ func MatMulTInto(out, a, b *Matrix) {
 // of the a row. Every output element accumulates its partial dot products in
 // strictly increasing k order (the running sum round-trips through out
 // between panels, which does not reassociate any addition), so results are
-// bit-identical to the naive version.
+// bit-identical to the naive version. Every product is written float32(a·b)
+// so no architecture may fuse it into the add: the cached decode path
+// computes the same scores through the unfused AccumStrided, and the two
+// must agree bit for bit everywhere.
 func matMulTRange(out, a, b *Matrix, rowLo, rowHi int) {
 	if b.Rows == 0 || a.Cols == 0 {
 		for i := rowLo; i < rowHi; i++ {
@@ -242,10 +266,10 @@ func matMulTRange(out, a, b *Matrix, rowLo, rowHi int) {
 				b3 := b.Row(j + 3)[k0:k1]
 				s0, s1, s2, s3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
 				for k, av := range arow {
-					s0 += av * b0[k]
-					s1 += av * b1[k]
-					s2 += av * b2[k]
-					s3 += av * b3[k]
+					s0 += float32(av * b0[k])
+					s1 += float32(av * b1[k])
+					s2 += float32(av * b2[k])
+					s3 += float32(av * b3[k])
 				}
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
@@ -253,7 +277,7 @@ func matMulTRange(out, a, b *Matrix, rowLo, rowHi int) {
 				brow := b.Row(j)[k0:k1]
 				s := orow[j]
 				for k, av := range arow {
-					s += av * brow[k]
+					s += float32(av * brow[k])
 				}
 				orow[j] = s
 			}
@@ -272,7 +296,8 @@ func MulVec(m *Matrix, x []float32) []float32 {
 // overwriting dst without allocating. The row loop is unrolled 4-way: four
 // independent dot-product chains share each load of x, and every output
 // element keeps the strict k-order single accumulator chain of the scalar
-// loop, so results are bit-identical.
+// loop, so results are bit-identical. Products are written float32(a·b),
+// unfused on every architecture like the rest of the kernels.
 func MulVecInto(dst []float32, m *Matrix, x []float32) {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("tensor: MulVec len(x)=%d, cols=%d", len(x), m.Cols))
@@ -290,10 +315,10 @@ func MulVecInto(dst []float32, m *Matrix, x []float32) {
 		r3 := m.Data[base+3*n : base+4*n][:len(x)]
 		var s0, s1, s2, s3 float32
 		for k, xv := range x {
-			s0 += r0[k] * xv
-			s1 += r1[k] * xv
-			s2 += r2[k] * xv
-			s3 += r3[k] * xv
+			s0 += float32(r0[k] * xv)
+			s1 += float32(r1[k] * xv)
+			s2 += float32(r2[k] * xv)
+			s3 += float32(r3[k] * xv)
 		}
 		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
@@ -301,7 +326,7 @@ func MulVecInto(dst []float32, m *Matrix, x []float32) {
 		row := m.Row(i)
 		var s float32
 		for k, v := range row {
-			s += v * x[k]
+			s += float32(v * x[k])
 		}
 		dst[i] = s
 	}
